@@ -8,6 +8,8 @@ executes batches of them through a :class:`Runner` that
 * fans jobs across a ``multiprocessing`` pool (``jobs=N``),
 * memoizes results in-process *and* in a persistent on-disk cache keyed by
   a content hash of the full spec plus a simulator-version salt,
+* builds each distinct program once per batch: cache misses are grouped
+  by :meth:`RunSpec.program_key` and each group runs back to back,
 * retries jobs whose worker crashed mid-flight,
 * resumes partially completed sweeps (finished jobs are disk hits), and
 * renders a progress/ETA line for long campaigns.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -136,6 +139,16 @@ class RunSpec:
             for spec in cls.for_seeds(workload, params, scale)
         ]
 
+    def program_key(self) -> tuple:
+        """What determines the spec's program: specs with equal keys
+        simulate the same trace under different params."""
+        return (
+            self.workload,
+            self.num_threads,
+            self.instructions_per_thread,
+            self.seed,
+        )
+
     def canonical_dict(self) -> dict:
         return {
             "engine": _ENGINE_VERSION,
@@ -148,15 +161,64 @@ class RunSpec:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
+# The program of the last spec this process ran, as ``(key, program)``.
+_program_slot: tuple | None = None
+
+
 def execute_spec(spec: RunSpec) -> RunMetrics:
-    """Run one job in the current process (also the pool worker)."""
-    program = build_program(
-        spec.workload,
-        spec.num_threads,
-        spec.instructions_per_thread,
-        seed=spec.seed,
-    )
-    return RunMetrics.from_result(simulate(spec.params, program))
+    """Run one job in the current process (also the pool worker).
+
+    Consecutive specs with the same :meth:`RunSpec.program_key` share one
+    program build: a one-slot memo keeps the last program (``simulate``
+    never mutates it) and drops it when the key changes, so at most one
+    program stays alive per process.
+
+    A finished simulator is cyclic garbage that holds its program.
+    Automatic collection stays paused from construction to metrics, so
+    the whole simulator is still in the youngest generation when it dies,
+    and one young collection frees it before this returns.  Left to the
+    automatic collector, it would be promoted during construction and
+    wait for a full collection, which walks the whole heap.
+    """
+    global _program_slot
+    key = spec.program_key()
+    slot = _program_slot
+    if slot is None or slot[0] != key:
+        slot = _program_slot = None
+        program = build_program(
+            spec.workload,
+            spec.num_threads,
+            spec.instructions_per_thread,
+            seed=spec.seed,
+        )
+        slot = _program_slot = (key, program)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        metrics = RunMetrics.from_result(simulate(spec.params, slot[1]))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    gc.collect(0)
+    return metrics
+
+
+def _run_group(worker, group: tuple[RunSpec, ...]) -> list[RunMetrics]:
+    """Pool task: one program group through ``worker``, back to back."""
+    return [worker(spec) for spec in group]
+
+
+def _program_groups(specs, max_size: int) -> list[tuple[RunSpec, ...]]:
+    """Stable-group ``specs`` by program key, in first-occurrence order.
+    Groups longer than ``max_size`` are cut into consecutive chunks."""
+    groups: dict[tuple, list[RunSpec]] = {}
+    for spec in specs:
+        groups.setdefault(spec.program_key(), []).append(spec)
+    return [
+        tuple(group[i : i + max_size])
+        for group in groups.values()
+        for i in range(0, len(group), max_size)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +233,7 @@ class RunnerStats:
     memo_hits: int = 0
     disk_hits: int = 0
     simulated: int = 0
+    programs: int = 0  # program groups dispatched to the worker
     retries: int = 0
     corrupt_discarded: int = 0
 
@@ -299,6 +362,7 @@ class Runner:
             self.stats.disk_hits += 1
             self._memo[spec] = cached
             return cached
+        self.stats.programs += 1
         metrics = self._execute_with_retry(spec)
         self._admit(spec, metrics)
         return metrics
@@ -327,10 +391,12 @@ class Runner:
 
         ``source`` is ``"memo"``, ``"disk"`` or ``"sim"``.  All cache hits
         are yielded first (the dedup/resume scan), then misses stream in as
-        the pool finishes them.  Closing the generator mid-stream (e.g. a
-        service shutting down) abandons the not-yet-finished jobs; every
-        yielded result is already admitted to the memo and disk cache, so a
-        later identical stream resumes as hits.
+        the pool finishes them.  Misses run grouped by program key, so a
+        worker builds each program once per batch.  Closing the generator
+        mid-stream (e.g. a service shutting down) abandons the
+        not-yet-finished jobs; every yielded result is already admitted to
+        the memo and disk cache, so a later identical stream resumes as
+        hits.
         """
         misses: list[RunSpec] = []
         seen: set[RunSpec] = set()
@@ -352,13 +418,17 @@ class Runner:
                 misses.append(spec)
         if not misses:
             return
-        if self.jobs == 1 or len(misses) == 1:
-            for spec in misses:
-                metrics = self._execute_with_retry(spec)
-                self._admit(spec, metrics)
-                yield spec, metrics, "sim"
+        # A pool cuts long groups so that every worker has a task.
+        groups = _program_groups(misses, -(-len(misses) // self.jobs))
+        self.stats.programs += len(groups)
+        if self.jobs == 1 or len(groups) == 1:
+            for group in groups:
+                for spec in group:
+                    metrics = self._execute_with_retry(spec)
+                    self._admit(spec, metrics)
+                    yield spec, metrics, "sim"
         else:
-            for spec, metrics in self._run_pool(misses):
+            for spec, metrics in self._run_pool(groups):
                 self._admit(spec, metrics)
                 yield spec, metrics, "sim"
 
@@ -384,7 +454,7 @@ class Runner:
                         # Hits all precede sims, so len(results)-1 is the
                         # number of cached cells this batch started with.
                         progress = _Progress(
-                            total=len(specs),
+                            total=len(set(specs)),
                             done=len(results) - 1,
                             enabled=self.progress,
                         )
@@ -395,45 +465,47 @@ class Runner:
                 progress.finish()
         return [results[spec] for spec in specs]
 
-    def _run_pool(self, misses):
-        """Fan jobs across worker processes; retry crashed jobs.
+    def _run_pool(self, groups):
+        """Fan program groups across worker processes; retry crashed groups.
 
-        A worker that dies (e.g. OOM-killed) breaks the whole pool and
-        fails every in-flight future, so the pool is rebuilt and the
-        not-yet-finished jobs resubmitted, each with a bounded attempt
-        budget.
+        One task per group, so a worker builds the group's program once
+        and the program is never pickled.  A worker that dies (e.g.
+        OOM-killed) breaks the whole pool and fails every in-flight
+        future, so the pool is rebuilt and the not-yet-finished groups
+        resubmitted, each with a bounded attempt budget.
         """
         ctx = None
         if "fork" in multiprocessing.get_all_start_methods():
             ctx = multiprocessing.get_context("fork")
-        attempts: dict[RunSpec, int] = {}
-        remaining = list(misses)
+        attempts: dict[tuple[RunSpec, ...], int] = {}
+        remaining = list(groups)
         while remaining:
             executor = ProcessPoolExecutor(
                 max_workers=min(self.jobs, len(remaining)), mp_context=ctx
             )
-            retry_round: list[RunSpec] = []
+            retry_round: list[tuple[RunSpec, ...]] = []
             try:
                 futures = {
-                    executor.submit(self._worker, spec): spec
-                    for spec in remaining
+                    executor.submit(_run_group, self._worker, group): group
+                    for group in remaining
                 }
                 for future in as_completed(futures):
-                    spec = futures[future]
+                    group = futures[future]
                     try:
-                        metrics = future.result()
+                        results = future.result()
                     except Exception as exc:
-                        attempts[spec] = attempts.get(spec, 0) + 1
-                        if attempts[spec] > self.retries:
+                        attempts[group] = attempts.get(group, 0) + 1
+                        if attempts[group] > self.retries:
+                            spec = group[0]
                             raise RunnerError(
                                 f"job {spec.workload.name}/seed={spec.seed}"
-                                f" failed after {attempts[spec]} attempts:"
+                                f" failed after {attempts[group]} attempts:"
                                 f" {exc!r}"
                             ) from exc
                         self.stats.retries += 1
-                        retry_round.append(spec)
+                        retry_round.append(group)
                         continue
-                    yield spec, metrics
+                    yield from zip(group, results)
             finally:
                 executor.shutdown(wait=False, cancel_futures=True)
             remaining = retry_round
@@ -468,7 +540,8 @@ class Runner:
         s = self.stats
         where = str(self.cache_dir) if self.cache_dir is not None else "memory"
         return (
-            f"{s.simulated} simulated, {s.memo_hits + s.disk_hits} cache"
+            f"{s.simulated} simulated ({s.programs} program(s)),"
+            f" {s.memo_hits + s.disk_hits} cache"
             f" hit(s) ({s.disk_hits} from disk), {s.retries} retr(y/ies),"
             f" {s.corrupt_discarded} corrupt entr(y/ies) discarded"
             f" [cache: {where}]"

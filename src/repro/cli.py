@@ -383,7 +383,8 @@ def _check_campaigns() -> int:
     print(f"validated {len(paths)} campaign specs ({jobs} unique jobs)")
 
     smoke = spec_dir / "smoke.yaml"
-    pool = ShardPool(Runner())
+    runner = Runner()
+    pool = ShardPool(runner)
     pool.start()
     thread = ServiceThread(pool).start()
     try:
@@ -400,10 +401,21 @@ def _check_campaigns() -> int:
         if not rows:
             print("campaign gate failed: smoke campaign produced no rows")
             return 1
+        # The runner is fresh and memory-only, so every spec simulated;
+        # each distinct program must have been dispatched exactly once.
+        specs = pool.get(status["id"]).specs
+        programs = len({spec.program_key() for spec in specs})
         print(
             f"smoke campaign e2e ok: {len(rows)} rows"
-            f" ({status['simulated']} simulated)"
+            f" ({status['simulated']} simulated,"
+            f" {runner.stats.programs} program(s); required: {programs})"
         )
+        if status["simulated"] != len(specs) or runner.stats.programs != programs:
+            print(
+                "campaign gate failed: the runner did not build each"
+                " distinct program exactly once"
+            )
+            return 1
     except ServiceError as exc:
         print(f"campaign gate failed: {exc}")
         return 1

@@ -372,7 +372,6 @@ class MulticoreSimulator:
                     core.fire_due_wakes(now)
                     fired = True
                 iterations += 1
-                any_work = False
                 pumped = False
                 if runq:
                     # Snapshot the runnable queue in core-id order.  Pumps
@@ -387,9 +386,7 @@ class MulticoreSimulator:
                     for core in batch:
                         pumped = True
                         step_calls += 1
-                        if core.pump(now):
-                            any_work = True
-                        else:
+                        if not core.pump(now):
                             core.awake = False
                         if core.done:
                             remaining -= 1

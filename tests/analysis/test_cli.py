@@ -287,6 +287,12 @@ class TestCheckCommand:
         assert "== repro lint ==" in out
         assert "lint clean" in out
 
+    def test_campaign_gate_counts_program_builds(self, capsys):
+        from repro.cli import _check_campaigns
+
+        assert _check_campaigns() == 0
+        assert "1 program(s); required: 1" in capsys.readouterr().out
+
 
 class TestProfileCommand:
     def test_parser_defaults(self):

@@ -1,12 +1,17 @@
-"""Runner/RunSpec tests: content hashing, disk cache, fan-out, retries."""
+"""Runner/RunSpec tests: content hashing, disk cache, fan-out, retries,
+program reuse."""
 
 import dataclasses
+import gc
 import json
+import multiprocessing
 import os
 import pathlib
+import weakref
 
 import pytest
 
+from repro.analysis import parallel
 from repro.analysis.parallel import (
     CACHE_SCHEMA_VERSION,
     Runner,
@@ -17,7 +22,11 @@ from repro.analysis.parallel import (
     get_default_runner,
     reset_default_runner,
 )
-from repro.analysis.runner import SMOKE, AtomicMode, base_params, config
+from repro.analysis.runner import SMOKE, AtomicMode, RunMetrics, base_params, config
+from repro.common.params import ConsistencyKind
+from repro.isa.serialize import program_to_dict
+from repro.sim.multicore import simulate
+from repro.workloads.synthetic import build_program
 
 PARAMS = base_params(SMOKE)
 EAGER = config(PARAMS, AtomicMode.EAGER)
@@ -151,6 +160,12 @@ class TestParallelExecution:
         assert out[0] is out[2]
         assert r.stats.simulated == 2
 
+    def test_progress_total_counts_unique_specs(self, capsys):
+        Runner(jobs=1, progress=True).run_many([_spec(0), _spec(1), _spec(0)])
+        err = capsys.readouterr().err
+        assert "[2/2] jobs" in err
+        assert "/3]" not in err
+
     def test_parallel_results_reach_disk_cache(self, tmp_path):
         specs = RunSpec.grid(("fmm",), (EAGER, LAZY), SMOKE)
         Runner(jobs=4, cache_dir=tmp_path).run_many(specs)
@@ -222,4 +237,136 @@ class TestDefaultRunner:
         r = Runner(cache_dir=tmp_path)
         r.run(_spec())
         assert str(tmp_path) in r.summary()
-        assert "1 simulated" in r.summary()
+        assert "1 simulated (1 program(s))" in r.summary()
+
+
+# Quick-scale-shaped: 2 workloads x 2 configs x 2 seeds, seed innermost, so
+# the two specs sharing a program are never adjacent in the batch.
+TWO_SEEDS = dataclasses.replace(SMOKE, seeds=(0, 1))
+GRID = RunSpec.grid(("fmm", "pc"), (EAGER, LAZY), TWO_SEEDS)
+
+
+@pytest.fixture
+def empty_slot(monkeypatch):
+    """Start with no program memoized in this process."""
+    monkeypatch.setattr(parallel, "_program_slot", None)
+
+
+@pytest.fixture
+def build_log(tmp_path, monkeypatch, empty_slot):
+    """Count ``build_program`` calls in this process and in forked workers."""
+    log = tmp_path / "builds.log"
+    log.touch()
+
+    def counting_build(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write("build\n")
+        return build_program(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "build_program", counting_build)
+    return lambda: len(log.read_text().splitlines())
+
+
+@pytest.fixture(scope="module")
+def fresh_metrics():
+    """Each GRID spec simulated on its own freshly built program."""
+    return [
+        RunMetrics.from_result(
+            simulate(
+                s.params,
+                build_program(
+                    s.workload, s.num_threads, s.instructions_per_thread, seed=s.seed
+                ),
+            )
+        )
+        for s in GRID
+    ]
+
+
+_WORKER_CALLS: list = []
+
+
+def _recording_worker(spec):
+    _WORKER_CALLS.append(spec)
+    return spec.seed
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="forked workers inherit the build counter",
+)
+
+
+class TestProgramReuse:
+    def test_shared_programs_are_not_adjacent_in_the_grid(self):
+        keys = [s.program_key() for s in GRID]
+        assert len(set(keys)) == 4
+        assert all(a != b for a, b in zip(keys, keys[1:]))
+
+    @pytest.mark.parametrize(
+        "jobs", [1, pytest.param(2, marks=needs_fork)]
+    )
+    def test_each_program_built_once(self, jobs, build_log, fresh_metrics):
+        r = Runner(jobs=jobs)
+        out = r.run_many(GRID)
+        assert build_log() == 4
+        assert r.stats.programs == 4
+        assert r.stats.simulated == len(GRID)
+        assert out == fresh_metrics
+        assert [m.to_json() for m in out] == [m.to_json() for m in fresh_metrics]
+
+    def test_custom_worker_gets_one_spec_per_call_grouped(self):
+        _WORKER_CALLS.clear()
+        out = Runner(jobs=1, worker=_recording_worker).run_many(GRID)
+        assert out == [s.seed for s in GRID]
+        assert all(isinstance(c, RunSpec) for c in _WORKER_CALLS)
+        assert sorted(_WORKER_CALLS, key=GRID.index) == GRID
+        keys = [c.program_key() for c in _WORKER_CALLS]
+        assert keys[0::2] == keys[1::2]  # each group runs back to back
+
+    def test_pool_cuts_groups_so_every_worker_has_a_task(self):
+        specs = RunSpec.grid(("fmm",), (EAGER, LAZY), TWO_SEEDS)
+        groups = parallel._program_groups(specs, max_size=1)
+        assert groups == [(s,) for s in (specs[0], specs[2], specs[1], specs[3])]
+        assert parallel._program_groups(specs, max_size=4) == [
+            (specs[0], specs[2]), (specs[1], specs[3])
+        ]
+
+    @pytest.mark.parametrize("automatic_gc", [True, False])
+    def test_previous_group_program_is_freed(
+        self, automatic_gc, monkeypatch, empty_slot
+    ):
+        built = []
+
+        def tracking_build(*args, **kwargs):
+            program = build_program(*args, **kwargs)
+            built.append(weakref.ref(program))
+            return program
+
+        monkeypatch.setattr(parallel, "build_program", tracking_build)
+        specs = RunSpec.grid(("fmm",), (EAGER, LAZY), TWO_SEEDS)
+        if not automatic_gc:
+            gc.disable()
+        try:
+            Runner(jobs=1).run_many(specs)
+        finally:
+            gc.enable()
+        assert len(built) == 2
+        assert built[0]() is None  # freed when the worker moved on
+        assert built[1]() is not None  # the one program the slot keeps
+
+    def test_simulator_is_garbage_collected_before_return(self, empty_slot):
+        gc.collect()
+        execute_spec(_spec())
+        # The young collection inside execute_spec left nothing for a
+        # full collection to find.
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("mode", ["eager", "lazy", "row"])
+    @pytest.mark.parametrize("model", list(ConsistencyKind))
+    def test_simulate_does_not_mutate_the_program(self, mode, model):
+        program = build_program("pc", 4, 400, seed=3)
+        before = json.dumps(program_to_dict(program), sort_keys=True)
+        params = config(PARAMS, mode).with_consistency_model(model)
+        simulate(params, program)
+        assert json.dumps(program_to_dict(program), sort_keys=True) == before
